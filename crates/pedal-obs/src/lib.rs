@@ -45,4 +45,4 @@ pub use slo::{SloTable, TenantId, TenantSloSnapshot};
 pub use trace::{
     chrome_trace_json, validate_chrome_trace, Collector, TraceCheck, TraceLog, TraceValidateError,
 };
-pub use window::{EwmaRate, HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};
+pub use window::{HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};

@@ -74,7 +74,7 @@ impl Default for ParConfig {
 }
 
 /// Run `make(i)` for every `i in 0..jobs` across `threads` workers
-/// (strided assignment, same idiom as `pedal::parallel`) and return the
+/// (strided: worker `t` takes `t, t + threads, ...`) and return the
 /// outputs in index order. Deterministic by construction: each output
 /// depends only on its index, and placement is by index.
 fn fan_out<T, F>(jobs: usize, threads: usize, make: F) -> Vec<T>

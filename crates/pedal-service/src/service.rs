@@ -241,7 +241,7 @@ impl ServiceConfig {
         self.batch_max_jobs = self.batch_max_jobs.clamp(1, self.channel_depth);
         if self.par_threshold > 0 {
             // Tiny fragments hurt ratio (history resets per chunk) and
-            // flood descriptors; floor matches pedal-par's MIN_CHUNK.
+            // flood descriptors; floor is pedal-par's MIN_CHUNK.
             self.par_chunk = self.par_chunk.max(MIN_PAR_CHUNK);
         }
         // Degenerate windows (zero-width slots, single slot) would make
@@ -252,10 +252,9 @@ impl ServiceConfig {
     }
 }
 
-/// Default fragment size for fanned-out jobs (matches pedal-par).
-pub const DEFAULT_PAR_CHUNK: usize = 1 << 20;
-/// Smallest accepted fragment size.
-pub const MIN_PAR_CHUNK: usize = 64 * 1024;
+/// Default and smallest fragment sizes for fanned-out jobs: pedal-par's
+/// shard sizes, since pedal-par compresses the fragments.
+pub use pedal_par::{DEFAULT_CHUNK as DEFAULT_PAR_CHUNK, MIN_CHUNK as MIN_PAR_CHUNK};
 
 // ---------------------------------------------------------------------
 // Adaptive policy state

@@ -12,21 +12,10 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pedal::{wire, Datatype, Design};
+use pedal::wire::{self, put_uvarint};
+use pedal::{Datatype, Design};
 use pedal_datasets::DatasetId;
 use pedal_sz3::{huff, Dims, Field, Sz3Config};
-
-fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
 
 fn main() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/vectors");
@@ -194,21 +183,4 @@ fn main() {
     put_uvarint(&mut bad, 0); // outliers
     put_uvarint(&mut bad, u64::MAX); // enc_len bomb
     write("bad_sz3_enclen_overflow.bin", &bad);
-
-    // Chunked container whose single chunk declares a u64::MAX compressed
-    // size (wrapped `i + comp`), and one whose per-chunk original sizes
-    // overflow the running total.
-    let mut pchk = Vec::from(*b"PCHK");
-    put_uvarint(&mut pchk, 1); // chunks
-    put_uvarint(&mut pchk, 4096); // orig
-    put_uvarint(&mut pchk, u64::MAX); // comp bomb
-    write("bad_pchk_comp_overflow.bin", &pchk);
-
-    let mut pchk = Vec::from(*b"PCHK");
-    put_uvarint(&mut pchk, 2);
-    put_uvarint(&mut pchk, u64::MAX); // orig #1
-    put_uvarint(&mut pchk, 1); // comp #1
-    put_uvarint(&mut pchk, u64::MAX); // orig #2 -> total wraps
-    put_uvarint(&mut pchk, 1); // comp #2
-    write("bad_pchk_total_overflow.bin", &pchk);
 }

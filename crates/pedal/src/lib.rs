@@ -42,7 +42,7 @@ pub use context::{
 };
 pub use design::Design;
 pub use header::{HeaderError, PedalHeader, ALGO_ID_RAW, HEADER_LEN, INDICATOR};
-pub use parallel::{compress_chunked, decompress_chunked, ParallelOutcome, ParallelStrategy};
+pub use parallel::{hybrid_deflate, ParallelOutcome, ParallelStrategy};
 pub use pool::PedalPool;
 pub use timing::TimingBreakdown;
 pub use wire::CostProfile;

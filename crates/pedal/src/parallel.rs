@@ -5,26 +5,23 @@
 //! decompression"; §V-C2 points at "a prospective hybrid design avenue for
 //! exploiting both SoC and C-Engine in parallel".
 //!
-//! This module implements both:
+//! [`hybrid_deflate`] implements both on top of `pedal-par`'s sync-flush
+//! DEFLATE fragments:
 //!
-//! * [`ParallelStrategy::SocParallel`] — the input is split into chunks
-//!   compressed concurrently on up to `soc_cores` ARM cores (real host
-//!   threads via `std::thread::scope`; virtual time is the slowest core's
-//!   track),
-//! * [`ParallelStrategy::Hybrid`] — chunks are divided between the
-//!   C-Engine (a single FIFO server) and the SoC cores, split by their
+//! * [`ParallelStrategy::SocParallel`] — every chunk is compressed on up to
+//!   `cores` ARM cores (virtual time is the slowest core's track),
+//! * [`ParallelStrategy::Hybrid`] — the first chunks go to the C-Engine (a
+//!   single FIFO server) and the rest to the SoC cores, split by their
 //!   calibrated throughput ratio so both tracks finish together.
 //!
-//! The container is a simple self-describing chunk stream, so any PEDAL
-//! peer can decompress regardless of how the chunks were produced.
+//! Either way the output is one plain RFC 1951 stream, byte-identical to
+//! [`pedal_par::par_deflate`] at the same chunk size: the strategy changes
+//! only virtual time, and any DEFLATE decoder inflates the result.
 
 use crate::context::PedalError;
-use crate::wire::{get_uvarint, put_uvarint};
 use pedal_doca::{CompressJob, DocaContext, JobKind};
 use pedal_dpu::{Algorithm, CostModel, Direction, Placement, SimDuration, SimInstant};
-
-/// Chunked-container magic.
-const CHUNK_MAGIC: &[u8; 4] = b"PCHK";
+use pedal_par::{par_deflate, Level, ParConfig, MIN_CHUNK};
 
 /// How to parallelize a chunked compression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,8 +33,8 @@ pub enum ParallelStrategy {
     Hybrid { soc_cores: usize },
 }
 
-/// Result of a chunked operation: payload (or data), the virtual makespan,
-/// and per-track times for analysis.
+/// Result of a chunked compression: the DEFLATE stream, the virtual
+/// makespan, and per-track times for analysis.
 #[derive(Debug, Clone)]
 pub struct ParallelOutcome {
     pub bytes: Vec<u8>,
@@ -50,251 +47,66 @@ pub struct ParallelOutcome {
     pub chunks: usize,
 }
 
-/// Default chunk size: big enough to amortize per-chunk costs, small enough
-/// to load-balance (matches DOCA's preferred job granularity).
-pub const DEFAULT_CHUNK: usize = 1 << 20;
-
-/// Compress `data` as a chunked container with DEFLATE.
+/// Compress `data` into one raw DEFLATE stream of `chunk_size` fragments
+/// (clamped to [`MIN_CHUNK`]).
 ///
-/// Real chunk compression runs on host threads (one per simulated core);
-/// the virtual makespan models `cores` SoC cores plus, for
-/// [`ParallelStrategy::Hybrid`], the engine's FIFO track.
-pub fn compress_chunked(
+/// The engine's share is the leading chunks, submitted through the DOCA
+/// queue as stream fragments; the SoC share is the rest, compressed by
+/// [`par_deflate`] on `cores` host threads and appended. The virtual
+/// makespan models the engine's FIFO track against `cores` SoC cores.
+pub fn hybrid_deflate(
     doca: &DocaContext,
     data: &[u8],
     chunk_size: usize,
     strategy: ParallelStrategy,
 ) -> Result<ParallelOutcome, PedalError> {
     let costs = doca.costs;
-    let chunk_size = chunk_size.max(4096);
-    let chunks: Vec<&[u8]> = data.chunks(chunk_size).collect();
-    let n = chunks.len();
+    let chunk_size = chunk_size.max(MIN_CHUNK);
+    let n = data.len().div_ceil(chunk_size);
 
     // Decide which chunks the engine takes.
-    let engine_ok = doca.supports(JobKind::DeflateCompress);
     let (engine_take, cores) = match strategy {
-        ParallelStrategy::SocParallel { cores } => (0usize, cores.max(1)),
+        ParallelStrategy::SocParallel { cores } => (0, cores.max(1)),
         ParallelStrategy::Hybrid { soc_cores } => {
             let cores = soc_cores.max(1);
-            if engine_ok {
-                let take = optimal_engine_take(n, chunk_size, cores, costs, Direction::Compress);
-                (take, cores)
+            if doca.supports(JobKind::DeflateCompress) {
+                (optimal_engine_take(n, chunk_size, cores, costs), cores)
             } else {
                 (0, cores)
             }
         }
     };
-    let engine_take = engine_take.min(n);
 
-    // Really compress: engine chunks sequentially through the DOCA queue,
-    // SoC chunks in parallel threads.
-    let mut packed: Vec<Option<Vec<u8>>> = vec![None; n];
+    // Engine share: sequential fragments through the DOCA queue; only the
+    // stream's last chunk carries the final block.
+    let mut out = Vec::with_capacity(data.len() / 2 + 32);
     let mut engine_time = SimDuration::ZERO;
-    let t0 = SimInstant::EPOCH;
-    for (i, chunk) in chunks.iter().enumerate().take(engine_take) {
+    for (i, chunk) in data.chunks(chunk_size).enumerate().take(engine_take) {
+        let job =
+            CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()).with_final_block(i == n - 1);
         let (r, done) = doca
-            .submit(CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()), t0 + engine_time)
+            .submit(job, SimInstant::EPOCH + engine_time)
             .map_err(|e| PedalError::Doca(e.to_string()))?;
-        packed[i] = Some(r.output);
-        engine_time = done.elapsed_since(t0);
+        out.extend_from_slice(&r.output);
+        engine_time = done.elapsed_since(SimInstant::EPOCH);
     }
 
-    let soc_chunks = &chunks[engine_take..];
-    let mut soc_packed: Vec<Vec<u8>> = Vec::new();
-    if !soc_chunks.is_empty() {
-        let threads = cores.min(soc_chunks.len());
-        let mut results: Vec<Vec<(usize, Vec<u8>)>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let soc_chunks = &soc_chunks;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut i = t;
-                        while i < soc_chunks.len() {
-                            out.push((
-                                i,
-                                pedal_deflate::compress(
-                                    soc_chunks[i],
-                                    pedal_deflate::Level::DEFAULT,
-                                ),
-                            ));
-                            i += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("compression worker panicked"));
-            }
-        });
-        let mut flat: Vec<(usize, Vec<u8>)> = results.into_iter().flatten().collect();
-        flat.sort_by_key(|(i, _)| *i);
-        soc_packed = flat.into_iter().map(|(_, v)| v).collect();
+    // SoC share: the remaining chunks continue the same stream. An empty
+    // input still needs its one (empty) final block.
+    let soc = &data[(engine_take * chunk_size).min(data.len())..];
+    if engine_take < n || data.is_empty() {
+        let cfg = ParConfig::new(cores).with_chunk_size(chunk_size);
+        out.extend_from_slice(&par_deflate(soc, Level::DEFAULT, &cfg));
     }
 
     // Virtual SoC track: round-robin chunk assignment across cores.
     let mut core_busy = vec![SimDuration::ZERO; cores];
-    for (k, chunk) in soc_chunks.iter().enumerate() {
+    for (k, chunk) in soc.chunks(chunk_size).enumerate() {
         core_busy[k % cores] +=
             costs.soc_lossless(Algorithm::Deflate, Direction::Compress, chunk.len());
     }
     let soc_time = core_busy.into_iter().max().unwrap_or(SimDuration::ZERO);
 
-    // Assemble container.
-    for (slot, blob) in packed.iter_mut().skip(engine_take).zip(soc_packed) {
-        *slot = Some(blob);
-    }
-    let mut out = Vec::with_capacity(data.len() / 2 + 32);
-    out.extend_from_slice(CHUNK_MAGIC);
-    put_uvarint(&mut out, n as u64);
-    for (chunk, blob) in chunks.iter().zip(packed.iter()) {
-        let blob = blob.as_ref().expect("all chunks compressed");
-        put_uvarint(&mut out, chunk.len() as u64);
-        put_uvarint(&mut out, blob.len() as u64);
-    }
-    for blob in packed.iter() {
-        out.extend_from_slice(blob.as_ref().unwrap());
-    }
-
-    Ok(ParallelOutcome {
-        bytes: out,
-        makespan: engine_time.max(soc_time),
-        engine_time,
-        soc_time,
-        chunks: n,
-    })
-}
-
-/// Decompress a chunked container, splitting work the same way.
-pub fn decompress_chunked(
-    doca: &DocaContext,
-    payload: &[u8],
-    expected_len: usize,
-    strategy: ParallelStrategy,
-) -> Result<ParallelOutcome, PedalError> {
-    let costs = doca.costs;
-    if payload.len() < 5 || &payload[..4] != CHUNK_MAGIC {
-        return Err(PedalError::Codec("bad chunked container magic".into()));
-    }
-    let mut i = 4usize;
-    let n = get_uvarint(payload, &mut i).ok_or(PedalError::Codec("chunk count truncated".into()))?
-        as usize;
-    if n > payload.len() {
-        return Err(PedalError::Codec("absurd chunk count".into()));
-    }
-    let mut sizes = Vec::with_capacity(n);
-    let mut total_orig = 0usize;
-    for _ in 0..n {
-        let orig = get_uvarint(payload, &mut i)
-            .ok_or(PedalError::Codec("chunk header truncated".into()))? as usize;
-        let comp = get_uvarint(payload, &mut i)
-            .ok_or(PedalError::Codec("chunk header truncated".into()))? as usize;
-        // Checked add: declared chunk sizes are untrusted and must not
-        // wrap the running total.
-        total_orig =
-            total_orig.checked_add(orig).ok_or(PedalError::Codec("chunk sizes overflow".into()))?;
-        sizes.push((orig, comp));
-    }
-    if total_orig != expected_len {
-        return Err(PedalError::LengthMismatch { expected: expected_len, actual: total_orig });
-    }
-    let mut blobs = Vec::with_capacity(n);
-    for &(_, comp) in &sizes {
-        let end = i
-            .checked_add(comp)
-            .filter(|&end| end <= payload.len())
-            .ok_or(PedalError::Codec("chunk body truncated".into()))?;
-        blobs.push(&payload[i..end]);
-        i = end;
-    }
-
-    let engine_ok = doca.supports(JobKind::DeflateDecompress);
-    let (engine_take, cores) = match strategy {
-        ParallelStrategy::SocParallel { cores } => (0usize, cores.max(1)),
-        ParallelStrategy::Hybrid { soc_cores } => {
-            let cores = soc_cores.max(1);
-            if engine_ok {
-                // Chunks are near-uniform in original size; plan on the
-                // average decompressed chunk.
-                let avg = (total_orig / n.max(1)).max(1);
-                (optimal_engine_take(n, avg, cores, costs, Direction::Decompress), cores)
-            } else {
-                (0, cores)
-            }
-        }
-    };
-    let engine_take = engine_take.min(n);
-
-    let mut parts: Vec<Option<Vec<u8>>> = vec![None; n];
-    let mut engine_time = SimDuration::ZERO;
-    for k in 0..engine_take {
-        let (r, done) = doca
-            .submit(
-                CompressJob::new(JobKind::DeflateDecompress, blobs[k].to_vec())
-                    .with_expected_len(sizes[k].0),
-                SimInstant::EPOCH + engine_time,
-            )
-            .map_err(|e| PedalError::Doca(e.to_string()))?;
-        parts[k] = Some(r.output);
-        engine_time = done.elapsed_since(SimInstant::EPOCH);
-    }
-
-    let rest: Vec<(usize, &[u8], usize)> =
-        (engine_take..n).map(|k| (k, blobs[k], sizes[k].0)).collect();
-    let mut failures: Vec<String> = Vec::new();
-    if !rest.is_empty() {
-        let threads = cores.min(rest.len());
-        type ChunkResults = Vec<(usize, Result<Vec<u8>, String>)>;
-        let mut results: Vec<ChunkResults> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let rest = &rest;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut j = t;
-                        while j < rest.len() {
-                            let (k, blob, orig) = rest[j];
-                            let r = pedal_deflate::decompress_with_limit(blob, orig)
-                                .map_err(|e| e.to_string());
-                            out.push((k, r));
-                            j += threads;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                results.push(h.join().expect("decompression worker panicked"));
-            }
-        });
-        for (k, r) in results.into_iter().flatten() {
-            match r {
-                Ok(v) => parts[k] = Some(v),
-                Err(e) => failures.push(e),
-            }
-        }
-    }
-    if let Some(e) = failures.pop() {
-        return Err(PedalError::Codec(e));
-    }
-
-    let mut core_busy = vec![SimDuration::ZERO; cores];
-    for (j, &(_, _, orig)) in rest.iter().enumerate() {
-        core_busy[j % cores] += costs.soc_lossless(Algorithm::Deflate, Direction::Decompress, orig);
-    }
-    let soc_time = core_busy.into_iter().max().unwrap_or(SimDuration::ZERO);
-
-    let mut out = Vec::with_capacity(expected_len);
-    for (k, part) in parts.into_iter().enumerate() {
-        let part = part.ok_or(PedalError::Codec("missing chunk".into()))?;
-        if part.len() != sizes[k].0 {
-            return Err(PedalError::Codec(format!("chunk {k} size mismatch")));
-        }
-        out.extend_from_slice(&part);
-    }
     Ok(ParallelOutcome {
         bytes: out,
         makespan: engine_time.max(soc_time),
@@ -308,17 +120,11 @@ pub fn decompress_chunked(
 /// discrete two-track makespan is minimal. Accounts for chunk granularity:
 /// when the engine dwarfs the combined SoC cores, the optimum is engine-only
 /// (a single SoC chunk would dominate the makespan).
-fn optimal_engine_take(
-    n: usize,
-    chunk_bytes: usize,
-    cores: usize,
-    costs: CostModel,
-    dir: Direction,
-) -> usize {
+fn optimal_engine_take(n: usize, chunk_bytes: usize, cores: usize, costs: CostModel) -> usize {
     let engine_chunk = costs
-        .cengine_lossless(Algorithm::Deflate, dir, chunk_bytes)
+        .cengine_lossless(Algorithm::Deflate, Direction::Compress, chunk_bytes)
         .expect("caller checked engine capability");
-    let soc_chunk = costs.soc_lossless(Algorithm::Deflate, dir, chunk_bytes);
+    let soc_chunk = costs.soc_lossless(Algorithm::Deflate, Direction::Compress, chunk_bytes);
     let mut best = (SimDuration(u64::MAX), n);
     for k in 0..=n {
         let engine = SimDuration(engine_chunk.0 * k as u64);
@@ -375,37 +181,66 @@ mod tests {
         out
     }
 
+    /// The single-worker `par_deflate` stream every strategy must reproduce.
+    fn reference(data: &[u8], chunk: usize) -> Vec<u8> {
+        par_deflate(data, Level::DEFAULT, &ParConfig::new(1).with_chunk_size(chunk))
+    }
+
+    fn soc(cores: usize) -> ParallelStrategy {
+        ParallelStrategy::SocParallel { cores }
+    }
+
+    fn hybrid(soc_cores: usize) -> ParallelStrategy {
+        ParallelStrategy::Hybrid { soc_cores }
+    }
+
+    /// Sweep platforms and core counts over prefixes of `data()` with chunk
+    /// sizes below, at and above `MIN_CHUNK`, asserting byte identity with
+    /// `par_deflate` and a stock inflate.
+    fn assert_matches_par_deflate(lens: &[usize], strategy: fn(usize) -> ParallelStrategy) {
+        let data = data();
+        for &len in lens {
+            let data = &data[..len];
+            for chunk in [1_000, MIN_CHUNK, 2 * MIN_CHUNK] {
+                let want = reference(data, chunk);
+                assert_eq!(pedal_deflate::decompress(&want).unwrap(), data);
+                for platform in Platform::ALL {
+                    let doca = DocaContext::open(platform).unwrap();
+                    for cores in [1, 2, 8, 16] {
+                        let out = hybrid_deflate(&doca, data, chunk, strategy(cores)).unwrap();
+                        assert!(out.bytes == want, "{platform:?} {cores} cores, {len} B / {chunk}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// One input that is an exact multiple of every swept chunk size, and
+    /// one that is not.
+    const MULTI_CHUNK: [usize; 2] = [4 * MIN_CHUNK, 4 * MIN_CHUNK + 1_000];
+
     #[test]
     fn soc_parallel_roundtrip() {
-        let doca = DocaContext::open(Platform::BlueField2).unwrap();
-        let data = data();
-        for cores in [1usize, 2, 8] {
-            let c =
-                compress_chunked(&doca, &data, 512 * 1024, ParallelStrategy::SocParallel { cores })
-                    .unwrap();
-            let d = decompress_chunked(
-                &doca,
-                &c.bytes,
-                data.len(),
-                ParallelStrategy::SocParallel { cores },
-            )
-            .unwrap();
-            assert_eq!(d.bytes, data, "cores {cores}");
-        }
+        assert_matches_par_deflate(&MULTI_CHUNK, soc);
+    }
+
+    #[test]
+    fn hybrid_matches_par_deflate() {
+        assert_matches_par_deflate(&MULTI_CHUNK, hybrid);
+    }
+
+    #[test]
+    fn single_chunk_and_empty_input() {
+        assert_matches_par_deflate(&[0, 4], soc);
+        assert_matches_par_deflate(&[0, 4], hybrid);
     }
 
     #[test]
     fn more_cores_shrink_the_makespan() {
         let doca = DocaContext::open(Platform::BlueField2).unwrap();
         let data = data();
-        let t1 =
-            compress_chunked(&doca, &data, 256 * 1024, ParallelStrategy::SocParallel { cores: 1 })
-                .unwrap()
-                .makespan;
-        let t8 =
-            compress_chunked(&doca, &data, 256 * 1024, ParallelStrategy::SocParallel { cores: 8 })
-                .unwrap()
-                .makespan;
+        let t1 = hybrid_deflate(&doca, &data, 256 * 1024, soc(1)).unwrap().makespan;
+        let t8 = hybrid_deflate(&doca, &data, 256 * 1024, soc(8)).unwrap().makespan;
         assert!(
             t8.as_nanos() * 4 < t1.as_nanos(),
             "8 cores should be >4x faster: {t1:?} vs {t8:?}"
@@ -416,112 +251,30 @@ mod tests {
     fn hybrid_roundtrip_and_beats_engine_alone_on_bf2() {
         let doca = DocaContext::open(Platform::BlueField2).unwrap();
         let data = data();
-        let hybrid =
-            compress_chunked(&doca, &data, 256 * 1024, ParallelStrategy::Hybrid { soc_cores: 8 })
-                .unwrap();
-        let rt = decompress_chunked(
-            &doca,
-            &hybrid.bytes,
-            data.len(),
-            ParallelStrategy::Hybrid { soc_cores: 8 },
-        )
-        .unwrap();
-        assert_eq!(rt.bytes, data);
-        assert!(hybrid.engine_time > SimDuration::ZERO, "engine must participate");
+        // Small chunks make the SoC worth enlisting: both tracks get work,
+        // and the engine's fragments must stitch onto the SoC's.
+        let chunk = MIN_CHUNK;
+        let out = hybrid_deflate(&doca, &data, chunk, hybrid(8)).unwrap();
+        assert!(out.bytes == reference(&data, chunk));
+        assert_eq!(pedal_deflate::decompress(&out.bytes).unwrap(), data);
+        assert!(out.engine_time > SimDuration::ZERO, "engine must participate");
+        assert!(out.soc_time > SimDuration::ZERO, "SoC must participate");
         // The hybrid makespan can't exceed an engine-only run of all chunks.
-        doca.workq.reset();
-        let mut engine_only = SimDuration::ZERO;
-        for chunk in data.chunks(256 * 1024) {
-            let (r, done) = doca
-                .submit(
-                    CompressJob::new(JobKind::DeflateCompress, chunk.to_vec()),
-                    SimInstant::EPOCH + engine_only,
-                )
-                .unwrap();
-            let _ = r;
-            engine_only = done.elapsed_since(SimInstant::EPOCH);
-        }
-        assert!(hybrid.makespan <= engine_only);
+        let engine_only: Option<SimDuration> = data
+            .chunks(chunk)
+            .map(|c| doca.costs.cengine_lossless(Algorithm::Deflate, Direction::Compress, c.len()))
+            .sum();
+        assert!(out.makespan <= engine_only.unwrap());
     }
 
     #[test]
     fn hybrid_on_bf3_degrades_to_soc() {
         let doca = DocaContext::open(Platform::BlueField3).unwrap();
         let data = data();
-        let out =
-            compress_chunked(&doca, &data, 512 * 1024, ParallelStrategy::Hybrid { soc_cores: 16 })
-                .unwrap();
+        let out = hybrid_deflate(&doca, &data, 512 * 1024, hybrid(16)).unwrap();
         assert_eq!(out.engine_time, SimDuration::ZERO, "BF3 engine cannot compress");
-        // Cross-platform: BF2 can decompress the container on its engine.
-        // With a single SoC core the planner must enlist the engine; with
-        // many cores it may legitimately choose SoC-only (the 1.5 ms
-        // engine job overhead dominates small chunk counts).
-        let bf2 = DocaContext::open(Platform::BlueField2).unwrap();
-        let rt = decompress_chunked(
-            &bf2,
-            &out.bytes,
-            data.len(),
-            ParallelStrategy::Hybrid { soc_cores: 1 },
-        )
-        .unwrap();
-        assert_eq!(rt.bytes, data);
-        assert!(rt.engine_time > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn corrupt_containers_error_cleanly() {
-        let doca = DocaContext::open(Platform::BlueField2).unwrap();
-        let data = data();
-        let c =
-            compress_chunked(&doca, &data, 512 * 1024, ParallelStrategy::SocParallel { cores: 2 })
-                .unwrap();
-        // Bad magic.
-        let mut bad = c.bytes.clone();
-        bad[0] ^= 0xFF;
-        assert!(decompress_chunked(
-            &doca,
-            &bad,
-            data.len(),
-            ParallelStrategy::SocParallel { cores: 2 }
-        )
-        .is_err());
-        // Wrong expected length.
-        assert!(decompress_chunked(
-            &doca,
-            &c.bytes,
-            data.len() + 1,
-            ParallelStrategy::SocParallel { cores: 2 }
-        )
-        .is_err());
-        // Truncation.
-        assert!(decompress_chunked(
-            &doca,
-            &c.bytes[..c.bytes.len() / 2],
-            data.len(),
-            ParallelStrategy::SocParallel { cores: 2 }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn single_chunk_and_empty_input() {
-        let doca = DocaContext::open(Platform::BlueField2).unwrap();
-        for input in [Vec::new(), b"tiny".to_vec()] {
-            let c = compress_chunked(
-                &doca,
-                &input,
-                DEFAULT_CHUNK,
-                ParallelStrategy::SocParallel { cores: 4 },
-            )
-            .unwrap();
-            let d = decompress_chunked(
-                &doca,
-                &c.bytes,
-                input.len(),
-                ParallelStrategy::SocParallel { cores: 4 },
-            )
-            .unwrap();
-            assert_eq!(d.bytes, input);
-        }
+        let soc_only = hybrid_deflate(&doca, &data, 512 * 1024, soc(16)).unwrap();
+        assert_eq!(out.makespan, soc_only.makespan);
+        assert!(out.bytes == soc_only.bytes);
     }
 }

@@ -18,40 +18,8 @@ use crate::header::{PedalHeader, HEADER_LEN};
 use pedal_dpu::{Algorithm, Placement};
 use pedal_sz3::{BackendKind, Dims, Field, PredictorKind, Sz3Config};
 
-// ---------------------------------------------------------------------
-// Varint framing primitives (shared by context, parallel, codesign)
-// ---------------------------------------------------------------------
-
-/// Append a LEB128 unsigned varint.
-pub fn put_uvarint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-/// Read a LEB128 unsigned varint at `*i`, advancing it.
-pub fn get_uvarint(data: &[u8], i: &mut usize) -> Option<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if *i >= data.len() || shift >= 64 {
-            return None;
-        }
-        let b = data[*i];
-        *i += 1;
-        v |= ((b & 0x7F) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Some(v);
-        }
-        shift += 7;
-    }
-}
+/// LEB128 varints frame the original length: the codec SZ3 headers use.
+pub use pedal_sz3::varint::{get_uvarint, put_uvarint};
 
 /// Build a full PEDAL message: header, original length varint, body.
 pub fn frame(header: PedalHeader, original_len: usize, body: &[u8]) -> Vec<u8> {
@@ -286,19 +254,6 @@ mod tests {
     use super::*;
     use crate::context::{PedalConfig, PedalContext};
     use pedal_dpu::{Pcg32, Platform};
-
-    #[test]
-    fn uvarint_roundtrip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_uvarint(&mut buf, v);
-            let mut i = 0;
-            assert_eq!(get_uvarint(&buf, &mut i), Some(v));
-            assert_eq!(i, buf.len());
-        }
-        let mut i = 0;
-        assert_eq!(get_uvarint(&[0x80, 0x80], &mut i), None);
-    }
 
     #[test]
     fn payloads_match_context_for_every_design_and_platform() {

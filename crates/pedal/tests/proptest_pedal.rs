@@ -104,15 +104,23 @@ fn header_parse_total_for_any_three_bytes() {
 
 #[test]
 fn chunked_parallel_roundtrip() {
+    // Every strategy and core count emits exactly `par_deflate`'s stream,
+    // so a stock inflate round-trips it. Inputs span several chunks.
     let mut rng = Pcg32::seed_from_u64(0x9EDA_0004);
+    let doca = pedal_doca::DocaContext::open(Platform::BlueField2).unwrap();
     for case in 0..cases(16) {
-        let data = arbitrary_vec(&mut rng, 60_000);
-        let chunk = rng.gen_range(4_096usize..20_000);
-        let cores = rng.gen_range(1usize..9);
-        let doca = pedal_doca::DocaContext::open(Platform::BlueField2).unwrap();
-        let strategy = pedal::ParallelStrategy::SocParallel { cores };
-        let c = pedal::compress_chunked(&doca, &data, chunk, strategy).unwrap();
-        let d = pedal::decompress_chunked(&doca, &c.bytes, data.len(), strategy).unwrap();
-        assert_eq!(d.bytes, data, "case {case}");
+        let data = arbitrary_vec(&mut rng, 300_000);
+        let chunk = rng.gen_range(1usize..150_000);
+        let cores = rng.gen_range(1usize..17);
+        let strategy = if rng.gen::<bool>() {
+            pedal::ParallelStrategy::SocParallel { cores }
+        } else {
+            pedal::ParallelStrategy::Hybrid { soc_cores: cores }
+        };
+        let c = pedal::hybrid_deflate(&doca, &data, chunk, strategy).unwrap();
+        let cfg = pedal_par::ParConfig::new(1).with_chunk_size(chunk);
+        let want = pedal_par::par_deflate(&data, pedal_deflate::Level::DEFAULT, &cfg);
+        assert!(c.bytes == want, "case {case}: {strategy:?} chunk {chunk}");
+        assert_eq!(pedal_deflate::decompress(&c.bytes).unwrap(), data, "case {case}");
     }
 }

@@ -40,6 +40,13 @@ echo "==> chunk-parallel speedup gate (16 MiB, 4 channels >= 2x)"
 # virtual throughput.
 cargo run --release -q -p bench --bin ablation_par
 
+echo "==> engine+SoC hybrid gate (plain DEFLATE stream, makespan vs engine-only)"
+# Ablation A4 at a tenth of the dataset: every strategy's stream must be
+# byte-identical to par_deflate and round-trip through one engine
+# inflate; the BF2 hybrid must not lose to engine-only and the BF3
+# hybrid must leave the engine idle. Exits non-zero on any violation.
+PEDAL_DATA_SCALE=0.1 cargo run --release -q -p bench --bin ablation_hybrid
+
 echo "==> pco numeric codec gate (determinism + ratio vs DEFLATE)"
 # Fixed-seed determinism sweep (all four column widths plus bytes mode,
 # non-finite floats included) and the ratio acceptance: pco must beat

@@ -5,27 +5,26 @@
 use pedal::{Datatype, Design, ParallelStrategy};
 use pedal_codesign::{Deployment, PedalComm, PedalCommConfig};
 use pedal_datasets::DatasetId;
-use pedal_dpu::Platform;
+use pedal_doca::{CompressJob, DocaContext, JobKind};
+use pedal_dpu::{Platform, SimDuration, SimInstant};
 use pedal_mpi::{run_world, WorldConfig};
 
 #[test]
 fn hybrid_compression_feeds_cross_platform_consumers() {
-    // Compress with the BF2 hybrid planner, decompress SoC-parallel on BF3.
+    // Compress with the BF2 hybrid planner; the result is a plain DEFLATE
+    // stream, so one BF3 engine decompression job decodes it.
     let data = DatasetId::SilesiaSamba.generate_bytes(3_000_000);
-    let bf2 = pedal_doca::DocaContext::open(Platform::BlueField2).unwrap();
-    let bf3 = pedal_doca::DocaContext::open(Platform::BlueField3).unwrap();
+    let bf2 = DocaContext::open(Platform::BlueField2).unwrap();
+    let bf3 = DocaContext::open(Platform::BlueField3).unwrap();
     let packed =
-        pedal::compress_chunked(&bf2, &data, 512 * 1024, ParallelStrategy::Hybrid { soc_cores: 8 })
+        pedal::hybrid_deflate(&bf2, &data, 512 * 1024, ParallelStrategy::Hybrid { soc_cores: 8 })
             .unwrap();
-    let out = pedal::decompress_chunked(
-        &bf3,
-        &packed.bytes,
-        data.len(),
-        ParallelStrategy::SocParallel { cores: 16 },
-    )
-    .unwrap();
-    assert_eq!(out.bytes, data);
-    assert!(packed.makespan < out.makespan * 64, "sanity: both finite");
+    assert!(packed.engine_time > SimDuration::ZERO);
+    let job =
+        CompressJob::new(JobKind::DeflateDecompress, packed.bytes).with_expected_len(data.len());
+    let (out, done) = bf3.submit(job, SimInstant::EPOCH).unwrap();
+    assert_eq!(out.output, data);
+    assert!(done > SimInstant::EPOCH);
 }
 
 #[test]
