@@ -435,8 +435,46 @@ where
             TenantClass::Paying => LadderLevel::Engine,
             TenantClass::BestEffort => level,
         };
+        let mut design = match ladder_level {
+            LadderLevel::Soc => Design { algorithm: want.algorithm, placement: Placement::Soc },
+            _ => want,
+        };
+
+        // Per-job refinement below the ladder: the policy probes the
+        // message and picks codec/placement/datatype within the rung the
+        // ladder granted. The ladder owns overload degradation — at the
+        // Soc rung the policy may swap codecs but never climbs a
+        // best-effort job back onto the engine.
+        let mut datatype = Datatype::Byte;
+        let mut store = None;
         if ladder_level == LadderLevel::Store {
+            store = Some(arrival.payload());
+        } else if let Some(policy) = &policy {
             let data = arrival.payload();
+            let snap = PolicySnapshot {
+                at: snap_at,
+                queue_depth: summary.submitted,
+                p99_ns: last_p99,
+                engine_available: engine_capable,
+            };
+            let (f, d) = policy.probe_and_decide(&data, &snap);
+            policy_log.push(PolicyRecord::of(arrival.seq, arrival.tenant, &f, &snap, &d));
+            match d.design() {
+                None => store = Some(data),
+                Some(chosen) => {
+                    design = if ladder_level == LadderLevel::Soc {
+                        Design { algorithm: chosen.algorithm, placement: Placement::Soc }
+                    } else {
+                        chosen
+                    };
+                    datatype = d.datatype;
+                }
+            }
+        }
+        // The ladder's Store rung and the policy's store-raw verdict both
+        // frame the payload uncompressed: no compression capacity spent,
+        // a byte-identical passthrough frame.
+        if let Some(data) = store {
             let payload = wire::frame(PedalHeader::Uncompressed, data.len(), &data);
             stats.stored += 1;
             stats.met_slo += 1; // a memcpy-speed store always meets the SLO
@@ -451,57 +489,6 @@ where
                 action: PlacementAction::Stored { bytes: arrival.bytes },
             });
             continue;
-        }
-        let mut design = match ladder_level {
-            LadderLevel::Soc => Design { algorithm: want.algorithm, placement: Placement::Soc },
-            _ => want,
-        };
-
-        // Per-job refinement below the ladder: the policy probes the
-        // message and picks codec/placement/datatype within the rung the
-        // ladder granted. The ladder owns overload degradation — at the
-        // Soc rung the policy may swap codecs but never climbs a
-        // best-effort job back onto the engine.
-        let mut datatype = Datatype::Byte;
-        if let Some(policy) = &policy {
-            let data = arrival.payload();
-            let snap = PolicySnapshot {
-                at: snap_at,
-                queue_depth: summary.submitted,
-                p99_ns: last_p99,
-                engine_available: engine_capable,
-            };
-            let (f, d) = policy.probe_and_decide(&data, &snap);
-            policy_log.push(PolicyRecord::of(arrival.seq, arrival.tenant, &f, &snap, &d));
-            match d.design() {
-                None => {
-                    // Store-raw: frame the payload uncompressed, exactly
-                    // like the ladder's Store rung — no compression
-                    // capacity spent, byte-identical passthrough frame.
-                    let payload = wire::frame(PedalHeader::Uncompressed, data.len(), &data);
-                    stats.stored += 1;
-                    stats.met_slo += 1;
-                    stats.bytes_out += payload.len() as u64;
-                    summary.stored += 1;
-                    stored.push(StoredJob { seq: arrival.seq, tenant: arrival.tenant, payload });
-                    log.push(PlacementRecord {
-                        seq: arrival.seq,
-                        tenant: arrival.tenant,
-                        class,
-                        requested: want,
-                        action: PlacementAction::Stored { bytes: arrival.bytes },
-                    });
-                    continue;
-                }
-                Some(chosen) => {
-                    design = if ladder_level == LadderLevel::Soc {
-                        Design { algorithm: chosen.algorithm, placement: Placement::Soc }
-                    } else {
-                        chosen
-                    };
-                    datatype = d.datatype;
-                }
-            }
         }
 
         // Capability: find nodes that run `design` natively. A C-Engine

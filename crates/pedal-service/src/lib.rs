@@ -2,9 +2,12 @@
 //!
 //! An asynchronous compression offload engine over the simulated
 //! BlueField DPU: clients submit compress/decompress jobs for any
-//! [`pedal::Design`] into a bounded admission queue, and a deterministic
-//! scheduler routes them across SoC worker threads and multiple
-//! C-Engine channels (independent DOCA work queues).
+//! [`pedal::Design`] into a bounded admission queue, and one
+//! deterministic core thread routes them across virtual SoC worker and
+//! C-Engine channel lanes (independent DOCA work queues). The core owns
+//! all virtual time; a plain pool of host threads only turns input
+//! bytes into output bytes, and the core charges each lane's time from
+//! the results in dispatch order.
 //!
 //! The service reproduces, as a *serving layer*, what the paper's
 //! synchronous `PEDAL_compress`/`PEDAL_decompress` API does one message
@@ -14,8 +17,8 @@
 //!   either blocks the submitter, rejects with
 //!   [`ServiceError::Overloaded`], or sheds the lowest-priority queued
 //!   job ([`BackpressurePolicy`]). Tenants are served round-robin.
-//! - **Placement-aware scheduling** — SoC designs go to a thread pool,
-//!   C-Engine designs to per-channel work queues with bounded descriptor
+//! - **Placement-aware scheduling** — SoC designs go to SoC worker
+//!   lanes, C-Engine designs to channel lanes with bounded descriptor
 //!   depth; platform fallbacks (e.g. LZ4 compression, BF3 engine
 //!   compression) are honoured exactly like the synchronous context.
 //! - **Small-message batching** — sub-threshold C-Engine compress jobs
@@ -29,9 +32,12 @@
 //!   chunk size — never on the channel count.
 //! - **Virtual-time telemetry** — queue wait, service time, and byte
 //!   counts per job ([`JobMetrics`]), aggregated into [`ServiceStats`]
-//!   with p50/p99 latency percentiles. All timing is charged from the
-//!   shared [`pedal_dpu::CostModel`], so results are deterministic and
-//!   platform-comparable.
+//!   with p50/p99 latency percentiles. All timing is charged by the core
+//!   from the shared [`pedal_dpu::CostModel`], so results are
+//!   deterministic by construction and platform-comparable.
+//! - **Fault isolation** — every codec call runs under `catch_unwind`:
+//!   a panic fails that one job with [`ServiceError::Pedal`], and
+//!   `drain()` and `shutdown()` still return.
 //!
 //! Payload bytes are produced by [`pedal::wire`], so every output is
 //! byte-identical to the synchronous [`pedal::PedalContext`] — the

@@ -1,10 +1,12 @@
 //! Bounded admission queue with per-tenant round-robin fairness and
-//! three backpressure policies.
+//! three backpressure policies. It is also the core's only wake-up
+//! source: pool workers post their results here too.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
 use crate::job::{Job, ServiceError};
+use crate::service::WorkResult;
 
 /// What the service does when a submission finds the queue full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,24 +23,35 @@ pub enum BackpressurePolicy {
 
 #[derive(Default)]
 struct QueueState {
-    /// Per-tenant FIFOs; `BTreeMap` keeps tenant order deterministic.
-    tenants: BTreeMap<u32, VecDeque<Job>>,
+    /// Per-tenant FIFOs of `(admission sequence, job)`; `BTreeMap` keeps
+    /// tenant order deterministic.
+    tenants: BTreeMap<u32, VecDeque<(u64, Job)>>,
     len: usize,
+    /// Admission sequence numbers handed out so far.
+    admitted: u64,
     /// Next tenant id to serve (round-robin cursor).
     cursor: u32,
     flush_requests: usize,
+    /// Jobs admitted before this sequence number dispatch even while
+    /// paused: a flush releases everything admitted ahead of it.
+    released: u64,
     closed: bool,
-    /// Scheduling quiesced: pops park until resumed (admission still
-    /// runs, so backpressure policies act on a deterministic backlog).
+    /// Scheduling quiesced: only released jobs pop until resumed
+    /// (admission still runs, so backpressure policies act on a
+    /// deterministic backlog).
     paused: bool,
+    /// Pool results, tagged with their dispatch tickets.
+    done: VecDeque<(u64, WorkResult)>,
 }
 
-/// What a scheduler pop observes.
+/// What a core pop observes.
 pub(crate) enum Popped {
     Job(Job),
-    /// A drain barrier: every job pushed before it has been popped.
+    /// A pool result for the work dispatched under this ticket.
+    Done(u64, WorkResult),
+    /// A drain barrier: every job admitted before it has been popped.
     Flush,
-    /// Queue closed and empty.
+    /// Queue closed and empty, with no result awaited.
     Closed,
 }
 
@@ -103,24 +116,26 @@ impl AdmissionQueue {
                 }
             }
         }
-        st.tenants.entry(job.desc.tenant).or_default().push_back(job);
+        let seq = st.admitted;
+        st.admitted += 1;
+        st.tenants.entry(job.desc.tenant).or_default().push_back((seq, job));
         st.len += 1;
         drop(st);
         self.not_empty.notify_one();
         Ok(victim)
     }
 
-    /// Pop the next job round-robin across tenants; park when empty or
-    /// paused.
-    pub fn pop(&self) -> Popped {
+    /// Pop the next pool result, else the next dispatchable job
+    /// round-robin across tenants; park when there is neither. While
+    /// paused only jobs released by a flush dispatch. `awaiting` keeps a
+    /// closed, empty queue parked until the results still owed arrive.
+    pub fn pop(&self, awaiting: bool) -> Popped {
         let mut st = self.state.lock().unwrap();
         loop {
-            if st.paused && !st.closed {
-                st = self.not_empty.wait(st).unwrap();
-                continue;
+            if let Some((ticket, result)) = st.done.pop_front() {
+                return Popped::Done(ticket, result);
             }
-            if st.len > 0 {
-                let job = pop_round_robin(&mut st);
+            if let Some(job) = pop_round_robin(&mut st) {
                 st.len -= 1;
                 drop(st);
                 self.not_full.notify_one();
@@ -130,16 +145,26 @@ impl AdmissionQueue {
                 st.flush_requests -= 1;
                 return Popped::Flush;
             }
-            if st.closed {
+            if st.closed && st.len == 0 && !awaiting {
                 return Popped::Closed;
             }
             st = self.not_empty.wait(st).unwrap();
         }
     }
 
-    /// Ask the scheduler to flush pending batches once the queue drains.
+    /// Post a pool result for the core.
+    pub fn complete(&self, ticket: u64, result: WorkResult) {
+        self.state.lock().unwrap().done.push_back((ticket, result));
+        self.not_empty.notify_one();
+    }
+
+    /// Ask the core to flush pending batches once every job admitted so
+    /// far has dispatched — paused or not.
     pub fn request_flush(&self) {
-        self.state.lock().unwrap().flush_requests += 1;
+        let mut st = self.state.lock().unwrap();
+        st.flush_requests += 1;
+        st.released = st.admitted;
+        drop(st);
         self.not_empty.notify_one();
     }
 
@@ -161,22 +186,24 @@ impl AdmissionQueue {
     }
 }
 
-/// Serve the first non-empty tenant at or after the cursor, wrapping.
-fn pop_round_robin(st: &mut QueueState) -> Job {
+/// Serve the first tenant at or after the cursor, wrapping, whose oldest
+/// job may dispatch: any job when running (or closing), only released
+/// ones while paused.
+fn pop_round_robin(st: &mut QueueState) -> Option<Job> {
+    let horizon = if st.paused && !st.closed { st.released } else { u64::MAX };
     let tenant = st
         .tenants
         .range(st.cursor..)
         .chain(st.tenants.range(..st.cursor))
-        .find(|(_, q)| !q.is_empty())
-        .map(|(t, _)| *t)
-        .expect("len > 0 implies a non-empty tenant queue");
+        .find(|(_, q)| q.front().is_some_and(|(seq, _)| *seq < horizon))
+        .map(|(t, _)| *t)?;
     let q = st.tenants.get_mut(&tenant).unwrap();
-    let job = q.pop_front().unwrap();
+    let (_, job) = q.pop_front().unwrap();
     if q.is_empty() {
         st.tenants.remove(&tenant);
     }
     st.cursor = tenant.wrapping_add(1);
-    job
+    Some(job)
 }
 
 /// Remove the queued job with the strictly lowest priority below
@@ -185,7 +212,7 @@ fn pop_round_robin(st: &mut QueueState) -> Job {
 fn take_lowest_priority(st: &mut QueueState, incoming: u8) -> Option<Job> {
     let mut best: Option<(u32, usize, u8, u64)> = None;
     for (&tenant, q) in st.tenants.iter() {
-        for (i, job) in q.iter().enumerate() {
+        for (i, (_, job)) in q.iter().enumerate() {
             let key = (job.desc.priority, std::cmp::Reverse(job.id));
             if job.desc.priority < incoming
                 && best.is_none_or(|(_, _, p, id)| key < (p, std::cmp::Reverse(id)))
@@ -196,7 +223,7 @@ fn take_lowest_priority(st: &mut QueueState, incoming: u8) -> Option<Job> {
     }
     let (tenant, idx, _, _) = best?;
     let q = st.tenants.get_mut(&tenant).unwrap();
-    let job = q.remove(idx).unwrap();
+    let (_, job) = q.remove(idx).unwrap();
     if q.is_empty() {
         st.tenants.remove(&tenant);
     }
@@ -222,7 +249,7 @@ mod tests {
     }
 
     fn pop_id(q: &AdmissionQueue) -> u64 {
-        match q.pop() {
+        match q.pop(false) {
             Popped::Job(j) => j.id,
             _ => panic!("expected a job"),
         }
@@ -238,7 +265,7 @@ mod tests {
         assert!(matches!(q.push(job(3, 0, 0)), Err(ServiceError::Overloaded)));
         assert_eq!(q.len(), 3, "a rejected push must not grow the queue");
         // Freeing one slot re-admits.
-        assert!(matches!(q.pop(), Popped::Job(_)));
+        assert!(matches!(q.pop(false), Popped::Job(_)));
         assert!(q.push(job(4, 0, 0)).is_ok());
         assert_eq!(q.len(), q.capacity());
     }
@@ -297,9 +324,45 @@ mod tests {
         q.push(job(0, 0, 0)).unwrap();
         q.request_flush();
         assert_eq!(pop_id(&q), 0);
-        assert!(matches!(q.pop(), Popped::Flush));
+        assert!(matches!(q.pop(false), Popped::Flush));
         q.close();
-        assert!(matches!(q.pop(), Popped::Closed));
+        assert!(matches!(q.pop(false), Popped::Closed));
         assert!(matches!(q.push(job(1, 0, 0)), Err(ServiceError::ShuttingDown)));
+    }
+
+    #[test]
+    fn flush_releases_jobs_admitted_before_it_while_paused() {
+        let q = AdmissionQueue::new(8, BackpressurePolicy::Reject);
+        q.pause();
+        q.push(job(0, 0, 0)).unwrap();
+        q.push(job(1, 1, 0)).unwrap();
+        q.request_flush();
+        q.push(job(2, 2, 0)).unwrap();
+        // Both admitted jobs dispatch despite the pause, then the flush;
+        // the later submission stays parked.
+        assert_eq!(pop_id(&q), 0);
+        assert_eq!(pop_id(&q), 1);
+        assert!(matches!(q.pop(false), Popped::Flush));
+        assert_eq!(q.len(), 1);
+        q.resume();
+        assert_eq!(pop_id(&q), 2);
+    }
+
+    #[test]
+    fn results_wake_the_core_and_closing_waits_for_them() {
+        let q = std::sync::Arc::new(AdmissionQueue::new(4, BackpressurePolicy::Reject));
+        q.pause();
+        q.close();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                q.complete(7, Ok((vec![1], Default::default())));
+            })
+        };
+        // Closed and empty, but a result is owed: park until it lands.
+        assert!(matches!(q.pop(true), Popped::Done(7, Ok(_))));
+        assert!(matches!(q.pop(false), Popped::Closed));
+        worker.join().unwrap();
     }
 }

@@ -5,7 +5,8 @@ use pedal_obs::{HistSummary, Json, PromWriter, TenantSloSnapshot, ToJson};
 
 use crate::job::{CompletedJob, LaneId};
 
-/// Per-executor counters, accumulated lock-free inside each lane thread.
+/// Per-lane counters, charged by the service's core thread alongside the
+/// lane's virtual time.
 #[derive(Debug, Clone, Copy)]
 pub struct LaneStats {
     pub lane: LaneId,

@@ -95,6 +95,12 @@ echo "==> fleet overload gate (paying SLO holds, best-effort sheds)"
 # (mirrored at the repo root) and exits non-zero if any gate fails.
 cargo run --release -q -p bench --bin ablation_fleet
 
+echo "==> hostbench tests (the host wall-clock benchmark package)"
+# hostbench is a package of its own outside the workspace, so no stage
+# above builds it. Its tests drive the service and fleet APIs the way the
+# benchmark does, including fleet_digest_repeats_across_runs_and_tracing.
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> adaptive-policy gate (closed loop beats every static config)"
 # The pedal-policy closed loop on a mixed-compressibility trace: the
 # adaptive run must strictly beat every static (codec, placement)
