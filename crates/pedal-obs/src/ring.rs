@@ -67,7 +67,7 @@ impl EventRing {
 }
 
 /// A lane's recording handle: an [`EventRing`] plus a track identity.
-/// Construct one per thread; disabled recorders compile every call down
+/// Construct one per track; disabled recorders compile every call down
 /// to a branch on a bool, which is what makes tracing safe to leave
 /// plumbed through release paths.
 #[derive(Debug)]
