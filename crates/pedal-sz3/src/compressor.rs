@@ -16,10 +16,11 @@
 use crate::backend::{backend_compress, backend_decompress, BackendError, BackendKind};
 use crate::field::{Dims, Field, Float};
 use crate::huff;
-use crate::interp_nd::interp_plan_nd;
+use crate::interp_nd::try_for_each_interp_point;
 use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
 use crate::quantizer::{Quantized, Quantizer};
 use crate::varint::{get_uvarint, put_uvarint};
+use std::convert::Infallible;
 
 /// Magic prefix of the core stream.
 const CORE_MAGIC: &[u8; 4] = b"SZ3R";
@@ -222,10 +223,10 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            // Seed point 0 predicted as 0, then the multi-level N-D plan.
+            // Seed point 0 predicted as 0, then the multi-level N-D walk.
             visit(0, 0.0, field.data[0].to_f64(), &mut codes, &mut outliers, &mut recon);
             let cubic = predictor == PredictorKind::InterpCubic;
-            for p in interp_plan_nd(dims) {
+            let Ok(()) = try_for_each_interp_point(dims, |p| {
                 let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
                 visit(
                     p.pos,
@@ -235,7 +236,8 @@ pub fn encode_core<T: Float>(field: &Field<T>, cfg: &Sz3Config) -> (Vec<u8>, Cor
                     &mut outliers,
                     &mut recon,
                 );
-            }
+                Ok::<(), Infallible>(())
+            });
         }
     }
 
@@ -405,10 +407,10 @@ pub fn decode_core_with_limit<T: Float>(
         PredictorKind::Interp | PredictorKind::InterpCubic => {
             place(0, 0.0, &mut recon, &mut out_data)?;
             let cubic = predictor == PredictorKind::InterpCubic;
-            for p in interp_plan_nd(dims) {
+            try_for_each_interp_point(dims, |p| {
                 let pred = if cubic { interp_cubic(&recon, p) } else { interp_linear(&recon, p) };
-                place(p.pos, pred, &mut recon, &mut out_data)?;
-            }
+                place(p.pos, pred, &mut recon, &mut out_data)
+            })?;
         }
     }
 

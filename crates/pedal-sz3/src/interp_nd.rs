@@ -1,5 +1,5 @@
-//! Multi-level interpolation over 2-D and 3-D grids — SZ3's flagship
-//! predictor generalized beyond rank 1.
+//! Multi-level interpolation order over 1-D, 2-D and 3-D grids — SZ3's
+//! flagship predictor generalized beyond rank 1.
 //!
 //! The refinement scheme is SZ3's dimension-sequenced binary descent.
 //! Points on the coarse lattice `L_s` (all coordinates multiples of `s`)
@@ -11,114 +11,99 @@
 //!    `s/2`, `z` a multiple of `s`, interpolating along y;
 //! 3. **z-pass**: predict `z ≡ s/2 (mod s)` with `x, y` multiples of `s/2`.
 //!
-//! After the three passes every point of `L_{s/2}` is known. The plan is a
-//! deterministic visit order shared by compressor and decompressor, so
+//! After the three passes every point of `L_{s/2}` is known. The visit
+//! order is deterministic and shared by compressor and decompressor, so
 //! prediction always reads already-reconstructed values.
+//!
+//! The order is never materialized: [`try_for_each_interp_point`] walks the
+//! levels and hands each point, with its anchors, to a visitor. Encode,
+//! decode and predictor selection all drive the same walker, so memory
+//! stays O(1) beyond the caller's own buffers, and a decoder that hits a
+//! corrupt code stops the walk at that point.
 
 use crate::field::Dims;
 use crate::predictor::InterpPoint;
 
-/// Generate the N-D interpolation plan for `dims`. The seed point is linear
-/// index 0 (quantized against a 0.0 prediction by the caller); every other
-/// grid point appears exactly once, with per-point anchor indexes expressed
-/// as linear offsets into the row-major array.
-pub fn interp_plan_nd(dims: Dims) -> Vec<InterpPoint> {
-    let n = dims.len();
-    let mut plan = Vec::with_capacity(n.saturating_sub(1));
-    if n <= 1 {
-        return plan;
-    }
-    let max_dim = dims.nx.max(dims.ny).max(dims.nz);
-    let mut stride = 1usize;
-    while stride < max_dim {
-        stride <<= 1;
+/// Visit every grid point of `dims` except the seed (linear index 0, which
+/// the caller quantizes against a 0.0 prediction) exactly once, in
+/// interpolation order. Anchor indexes are linear offsets into the
+/// row-major array, and every anchor is visited (or is the seed) before any
+/// point that reads it. The first `Err` from `visit` stops the walk and is
+/// returned.
+pub fn try_for_each_interp_point<E>(
+    dims: Dims,
+    mut visit: impl FnMut(InterpPoint) -> Result<(), E>,
+) -> Result<(), E> {
+    if dims.len() <= 1 {
+        return Ok(());
     }
     // Axis extents and linear-index strides (row-major x-fastest).
     let extents = [dims.nx, dims.ny, dims.nz];
     let lin = [1usize, dims.nx, dims.nx * dims.ny];
+    let mut stride = dims.nx.max(dims.ny).max(dims.nz).next_power_of_two();
 
     while stride >= 2 {
         let half = stride / 2;
         // Pass over axes in x, y, z order.
         for axis in 0..3 {
-            if extents[axis] <= 1 {
+            let ext = extents[axis];
+            if ext <= 1 {
                 continue;
             }
-            // Coordinates along `axis` at odd multiples of `half`; the
-            // earlier axes of this level are already refined to `half`,
-            // later axes remain on the full `stride` lattice.
-            let step_of = |a: usize| -> usize {
-                if a < axis {
-                    half
-                } else {
-                    stride
-                }
-            };
-            let mut coord = [0usize; 3];
-            // Iterate the lattice of the two non-target axes.
+            // The earlier axes of this level are already refined to
+            // `half`; later axes remain on the full `stride` lattice.
+            let step_of = |a: usize| if a < axis { half } else { stride };
             let (a1, a2) = match axis {
                 0 => (1, 2),
                 1 => (0, 2),
                 _ => (0, 1),
             };
-            coord[a1] = 0;
-            while coord[a1] < extents[a1] {
-                coord[a2] = 0;
-                while coord[a2] < extents[a2] {
+            let la = lin[axis];
+            for c1 in (0..extents[a1]).step_by(step_of(a1)) {
+                for c2 in (0..extents[a2]).step_by(step_of(a2)) {
+                    let base = c1 * lin[a1] + c2 * lin[a2];
                     // Walk the target axis at odd multiples of `half`.
                     let mut t = half;
-                    while t < extents[axis] {
-                        coord[axis] = t;
-                        let at = |c: &[usize; 3]| c[0] * lin[0] + c[1] * lin[1] + c[2] * lin[2];
-                        let pos = at(&coord);
-                        let mut left_c = coord;
-                        left_c[axis] = t - half;
-                        let left = at(&left_c);
-                        let right = if t + half < extents[axis] {
-                            let mut c = coord;
-                            c[axis] = t + half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        let far_left = if t >= 3 * half {
-                            let mut c = coord;
-                            c[axis] = t - 3 * half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        let far_right = if t + 3 * half < extents[axis] {
-                            let mut c = coord;
-                            c[axis] = t + 3 * half;
-                            Some(at(&c))
-                        } else {
-                            None
-                        };
-                        plan.push(InterpPoint { pos, left, right, far_left, far_right });
+                    while t < ext {
+                        let pos = base + t * la;
+                        visit(InterpPoint {
+                            pos,
+                            left: pos - half * la,
+                            right: (t + half < ext).then(|| pos + half * la),
+                            far_left: (t >= 3 * half).then(|| pos - 3 * half * la),
+                            far_right: (t + 3 * half < ext).then(|| pos + 3 * half * la),
+                        })?;
                         t += stride;
                     }
-                    coord[a2] += step_of(a2);
                 }
-                coord[a1] += step_of(a1);
             }
         }
         stride = half;
     }
-    plan
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::predictor::{interp_cubic, interp_linear};
+    use std::convert::Infallible;
+
+    /// The walk as a list, for tests that inspect the order itself.
+    fn walk(dims: Dims) -> Vec<InterpPoint> {
+        let mut points = Vec::new();
+        let Ok(()) = try_for_each_interp_point(dims, |p| {
+            points.push(p);
+            Ok::<(), Infallible>(())
+        });
+        points
+    }
 
     fn check_plan(dims: Dims) {
-        let plan = interp_plan_nd(dims);
         let n = dims.len();
         let mut seen = vec![false; n];
         seen[0] = true;
-        for p in &plan {
+        let Ok(()) = try_for_each_interp_point(dims, |p| {
             assert!(p.pos < n, "{dims:?}: pos out of range");
             assert!(!seen[p.pos], "{dims:?}: {} visited twice", p.pos);
             assert!(seen[p.left], "{dims:?}: left anchor {} of {} not ready", p.left, p.pos);
@@ -132,7 +117,8 @@ mod tests {
                 assert!(seen[fr], "{dims:?}: far-right anchor not ready");
             }
             seen[p.pos] = true;
-        }
+            Ok::<(), Infallible>(())
+        });
         assert!(seen.iter().all(|&s| s), "{dims:?}: unvisited points");
     }
 
@@ -156,16 +142,51 @@ mod tests {
 
     #[test]
     fn plan_matches_1d_for_flat_dims() {
-        // On a 1-D shape, the N-D plan must visit the same points as the
-        // 1-D plan (possibly identical order).
-        let n = 37;
-        let nd = interp_plan_nd(Dims::d1(n));
-        let d1 = crate::predictor::interp_plan(n);
-        let mut nd_pos: Vec<usize> = nd.iter().map(|p| p.pos).collect();
-        let mut d1_pos: Vec<usize> = d1.iter().map(|p| p.pos).collect();
-        nd_pos.sort_unstable();
-        d1_pos.sort_unstable();
-        assert_eq!(nd_pos, d1_pos);
+        // On a line the walk is the textbook 1-D descent: stride halves
+        // from the next power of two, and at each level the odd multiples
+        // of `half` are predicted from neighbours `half` and `3 * half`
+        // away. Flat 2-D/3-D shapes walk their one long axis the same way.
+        let descent = |n: usize, lin: usize| {
+            let mut plan = Vec::new();
+            let mut stride = n.next_power_of_two();
+            while stride >= 2 {
+                let half = stride / 2;
+                for t in (half..n).step_by(stride) {
+                    let at = |c: usize| c * lin;
+                    plan.push(InterpPoint {
+                        pos: at(t),
+                        left: at(t - half),
+                        right: (t + half < n).then(|| at(t + half)),
+                        far_left: (t >= 3 * half).then(|| at(t - 3 * half)),
+                        far_right: (t + 3 * half < n).then(|| at(t + 3 * half)),
+                    });
+                }
+                stride = half;
+            }
+            plan
+        };
+        for n in [2usize, 3, 5, 37, 64, 129] {
+            assert_eq!(walk(Dims::d1(n)), descent(n, 1), "d1({n})");
+            assert_eq!(walk(Dims::d2(1, n)), descent(n, 1), "d2(1, {n})");
+            assert_eq!(walk(Dims::d3(1, 1, n)), descent(n, 1), "d3(1, 1, {n})");
+            assert_eq!(walk(Dims::d3(3, 1, n)).len(), 3 * n - 1, "d3(3, 1, {n})");
+        }
+    }
+
+    #[test]
+    fn walk_stops_at_the_first_error() {
+        let dims = Dims::d2(9, 7);
+        let mut visited = 0usize;
+        let r = try_for_each_interp_point(dims, |p| {
+            visited += 1;
+            if visited == 10 {
+                Err(p.pos)
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(r, Err(walk(dims)[9].pos));
+        assert_eq!(visited, 10);
     }
 
     #[test]
@@ -179,7 +200,7 @@ mod tests {
                 recon[dims.idx(x, y, 0)] = 3.0 * x as f64 - 2.0 * y as f64 + 7.0;
             }
         }
-        for p in interp_plan_nd(dims) {
+        for p in walk(dims) {
             if p.right.is_some() {
                 let pred = interp_linear(&recon, p);
                 assert!(
@@ -210,7 +231,7 @@ mod tests {
                 }
             }
         }
-        for p in interp_plan_nd(dims) {
+        for p in walk(dims) {
             if p.far_left.is_some() && p.right.is_some() && p.far_right.is_some() {
                 let pred = interp_cubic(&recon, p);
                 assert!(
@@ -225,8 +246,8 @@ mod tests {
 
     #[test]
     fn degenerate_grids() {
-        assert!(interp_plan_nd(Dims::d1(0)).is_empty());
-        assert!(interp_plan_nd(Dims::d1(1)).is_empty());
+        assert!(walk(Dims::d1(0)).is_empty());
+        assert!(walk(Dims::d1(1)).is_empty());
         check_plan(Dims::d3(2, 1, 1));
     }
 }

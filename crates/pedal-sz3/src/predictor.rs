@@ -6,10 +6,8 @@
 //!   for 1D/2D/3D grids, predicting each point from already-reconstructed
 //!   neighbours by inclusion–exclusion.
 //! * [`PredictorKind::Interp`] — multi-level interpolation (SZ3's flagship
-//!   predictor) with linear and cubic kernels. Implemented for 1D fields,
-//!   which covers the paper's lossy datasets (exaalt and obs_error are flat
-//!   float arrays); for rank > 1 the pipeline transparently falls back to
-//!   Lorenzo (recorded in the stream header so decompression matches).
+//!   predictor) with linear and cubic kernels, over 1D/2D/3D grids. The
+//!   visit order lives in [`crate::interp_nd`].
 //!
 //! Prediction always consumes *reconstructed* values, never originals, so
 //! the decompressor — which only has reconstructed data — stays in lockstep.
@@ -19,9 +17,9 @@
 pub enum PredictorKind {
     /// First-order Lorenzo (any rank).
     Lorenzo,
-    /// Multi-level linear interpolation (rank 1; falls back to Lorenzo).
+    /// Multi-level linear interpolation (any rank).
     Interp,
-    /// Multi-level cubic interpolation (rank 1; falls back to Lorenzo).
+    /// Multi-level cubic interpolation (any rank).
     InterpCubic,
 }
 
@@ -60,42 +58,9 @@ pub fn lorenzo_predict(recon: &[f64], nx: usize, ny: usize, x: usize, y: usize, 
     at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) - at(1, 0, 1) - at(0, 1, 1) + at(1, 1, 1)
 }
 
-/// The visit order for multi-level interpolation over `n` points.
-///
-/// Level strides go 2^k, 2^(k-1), …, 2. Position 0 is the seed (predicted
-/// as 0). At stride `s`, points at odd multiples of `s/2` are predicted
-/// from their reconstructed neighbours at multiples of `s`.
-/// Returns (position, left anchor, right anchor option, far-left anchor
-/// option, far-right anchor option) tuples in visit order; anchors are used
-/// by the linear/cubic kernels.
-pub fn interp_plan(n: usize) -> Vec<InterpPoint> {
-    let mut plan = Vec::with_capacity(n);
-    if n == 0 {
-        return plan;
-    }
-    // Seed points: 0 predicted from nothing; handled by caller at stride max.
-    let mut stride = 1usize;
-    while stride < n {
-        stride <<= 1;
-    }
-    // stride is now >= n; seeds are the multiples of `stride` (just 0).
-    while stride >= 2 {
-        let half = stride / 2;
-        let mut pos = half;
-        while pos < n {
-            let left = pos - half;
-            let right = if pos + half < n { Some(pos + half) } else { None };
-            let far_left = if pos >= 3 * half { Some(pos - 3 * half) } else { None };
-            let far_right = if pos + 3 * half < n { Some(pos + 3 * half) } else { None };
-            plan.push(InterpPoint { pos, left, right, far_left, far_right });
-            pos += stride;
-        }
-        stride = half;
-    }
-    plan
-}
-
-/// One interpolated point and its anchor positions.
+/// One interpolated point and its anchor positions, as linear indexes into
+/// the reconstructed buffer. Produced by
+/// [`crate::interp_nd::try_for_each_interp_point`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterpPoint {
     pub pos: usize,
@@ -129,6 +94,17 @@ pub fn interp_cubic(recon: &[f64], p: InterpPoint) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Dims;
+    use crate::interp_nd::try_for_each_interp_point;
+    use std::convert::Infallible;
+
+    /// Run `f` on every interpolated point of a length-`n` line.
+    fn for_each_point_1d(n: usize, mut f: impl FnMut(InterpPoint)) {
+        let Ok(()) = try_for_each_interp_point(Dims::d1(n), |p| {
+            f(p);
+            Ok::<(), Infallible>(())
+        });
+    }
 
     #[test]
     fn lorenzo_1d_is_previous_value() {
@@ -181,10 +157,9 @@ mod tests {
     #[test]
     fn interp_plan_covers_all_points_once() {
         for n in [1usize, 2, 3, 4, 5, 17, 64, 100, 1023] {
-            let plan = interp_plan(n);
             let mut seen = vec![false; n];
             seen[0] = true; // seed
-            for p in &plan {
+            for_each_point_1d(n, |p| {
                 assert!(!seen[p.pos], "n={n} pos {} visited twice", p.pos);
                 // Anchors must already be reconstructed.
                 assert!(seen[p.left], "n={n} left anchor {} not ready", p.left);
@@ -192,7 +167,7 @@ mod tests {
                     assert!(seen[r], "n={n} right anchor {r} not ready");
                 }
                 seen[p.pos] = true;
-            }
+            });
             assert!(seen.iter().all(|&s| s), "n={n}: some points unvisited");
         }
     }
@@ -201,12 +176,12 @@ mod tests {
     fn interp_linear_exact_on_linear_data() {
         let n = 33;
         let recon: Vec<f64> = (0..n).map(|i| 2.0 * i as f64 + 1.0).collect();
-        for p in interp_plan(n) {
+        for_each_point_1d(n, |p| {
             if p.right.is_some() {
                 let pred = interp_linear(&recon, p);
                 assert!((pred - recon[p.pos]).abs() < 1e-12);
             }
-        }
+        });
     }
 
     #[test]
@@ -219,7 +194,7 @@ mod tests {
             0.01 * t * t * t - 0.3 * t * t + 2.0 * t - 5.0
         };
         let recon: Vec<f64> = (0..n).map(f).collect();
-        for p in interp_plan(n) {
+        for_each_point_1d(n, |p| {
             if p.far_left.is_some() && p.far_right.is_some() && p.right.is_some() {
                 let pred = interp_cubic(&recon, p);
                 assert!(
@@ -230,7 +205,7 @@ mod tests {
                     recon[p.pos]
                 );
             }
-        }
+        });
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! of coarse-level interpolation outliers mask fine-level wins.
 
 use crate::field::{Field, Float};
-use crate::interp_nd::interp_plan_nd;
+use crate::interp_nd::try_for_each_interp_point;
 use crate::predictor::{interp_cubic, interp_linear, lorenzo_predict, PredictorKind};
+use std::convert::Infallible;
 
 /// Maximum number of sampled points per candidate.
 const SAMPLE_BUDGET: usize = 4096;
@@ -56,17 +57,22 @@ pub fn estimate<T: Float>(field: &Field<T>, predictor: PredictorKind, eb: f64) -
             }
         }
         PredictorKind::Interp | PredictorKind::InterpCubic => {
-            let plan = interp_plan_nd(dims);
-            let step = (plan.len() / SAMPLE_BUDGET).max(1);
+            // Sample every `step`-th of the walk's n - 1 visits.
+            let step = ((n - 1) / SAMPLE_BUDGET).max(1);
             let cubic = predictor == PredictorKind::InterpCubic;
-            for p in plan.iter().step_by(step) {
-                let pred = if cubic { interp_cubic(&vals, *p) } else { interp_linear(&vals, *p) };
-                let v = vals[p.pos];
-                if v.is_finite() && pred.is_finite() {
-                    err += (((v - pred).abs() + noise) / eb + 1.0).log2();
-                    count += 1;
+            let mut visit = 0usize;
+            let Ok(()) = try_for_each_interp_point(dims, |p| {
+                if visit.is_multiple_of(step) {
+                    let pred = if cubic { interp_cubic(&vals, p) } else { interp_linear(&vals, p) };
+                    let v = vals[p.pos];
+                    if v.is_finite() && pred.is_finite() {
+                        err += (((v - pred).abs() + noise) / eb + 1.0).log2();
+                        count += 1;
+                    }
                 }
-            }
+                visit += 1;
+                Ok::<(), Infallible>(())
+            });
         }
     }
     if count == 0 {

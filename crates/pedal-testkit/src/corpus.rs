@@ -101,6 +101,21 @@ fn float_base(id: DatasetId, elems: usize) -> Field<f32> {
     Field::new(Dims::d1(elems), vals)
 }
 
+/// Wide-alphabet quantization codes: obs_error's first differences in
+/// units of its 2^-13 reporting precision, centred on the radius. The
+/// `64 * target` symbols (2^17 at the default target, ~33k distinct) get
+/// codes of 13–17 bits; the longest outgrow the decoder's 16-bit
+/// first-level table, so mutations reach its long-code path.
+fn obs_error_quant_codes(target: usize) -> Vec<u32> {
+    let n = 64 * target;
+    let bytes = DatasetId::ObsError.generate_bytes(4 * (n + 1));
+    let vals: Vec<f32> =
+        bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect();
+    vals.windows(2)
+        .map(|w| (32768 + ((w[1] - w[0]) as f64 * 8192.0).round() as i64) as u32)
+        .collect()
+}
+
 /// Build the valid-stream corpus for `codec`. `target` sizes the raw data
 /// per base (a couple of KiB keeps a 10k-case sweep inside seconds while
 /// still exercising multi-block paths).
@@ -161,10 +176,15 @@ pub fn build_corpus(codec: CodecId, target: usize) -> Vec<CaseBase> {
             }
             CodecId::Huff => {
                 // Symbols shaped like quantizer output: clustered around
-                // the radius with occasional excursions.
-                let data = id.generate_bytes(target);
-                let symbols: Vec<u32> =
-                    data.iter().map(|&b| 32768 + (b as u32 % 64) - 32).collect();
+                // the radius with occasional excursions. obs_error gets the
+                // wide alphabet, whose codes outgrow the first-level
+                // decode table.
+                let symbols: Vec<u32> = if id == DatasetId::ObsError {
+                    obs_error_quant_codes(target)
+                } else {
+                    let data = id.generate_bytes(target);
+                    data.iter().map(|&b| 32768 + (b as u32 % 64) - 32).collect()
+                };
                 let enc = huff::encode(&symbols);
                 let original: Vec<u8> = symbols.iter().flat_map(|s| s.to_le_bytes()).collect();
                 bases.push(CaseBase { dataset: id.name(), original, encoded: enc, design: None });
@@ -274,6 +294,21 @@ mod tests {
                 assert!(!base.original.is_empty(), "{}/{}", codec.name(), base.dataset);
             }
         }
+    }
+
+    #[test]
+    fn huff_corpus_has_a_wide_alphabet_base() {
+        let corpus = build_corpus(CodecId::Huff, 2048);
+        let wide = corpus.iter().find(|b| b.dataset == DatasetId::ObsError.name()).unwrap();
+        let mut symbols: Vec<u32> = wide
+            .original
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(symbols.len(), 1 << 17);
+        symbols.sort_unstable();
+        symbols.dedup();
+        assert!(symbols.len() > 20_000, "only {} distinct symbols", symbols.len());
     }
 
     #[test]
