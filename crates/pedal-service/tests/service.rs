@@ -3,7 +3,7 @@
 //! graceful shutdown.
 
 use pedal::{Datatype, Design, PedalConfig, PedalContext};
-use pedal_dpu::{Pcg32, Platform, SimDuration, SimInstant};
+use pedal_dpu::{Algorithm, Pcg32, Platform, SimDuration, SimInstant};
 use pedal_obs::SpanKind;
 use pedal_service::{
     BackpressurePolicy, JobDesc, JobMetrics, PedalService, ServiceConfig, ServiceError,
@@ -588,4 +588,57 @@ fn batches_never_exceed_channel_depth() {
     }
     assert!(passes.values().all(|&k| k <= 2), "engine passes {passes:?}");
     assert_eq!(stats.channel_lanes[0].batches, 2, "5 jobs: two pairs, then a single");
+}
+
+/// The service and the synchronous context charge the same virtual time
+/// for the same operation: a lone job on an idle service is served in
+/// exactly the context's total (PEDAL mode, warm pool: both charge one
+/// pool hit ahead of the codec stage), for every design, on both
+/// platforms, in both directions.
+#[test]
+fn lone_job_service_time_equals_context_total() {
+    let mut rng = Pcg32::seed_from_u64(0x5E1C_0003);
+    let text = text_payload(&mut rng, 12_000);
+    let f32s = f32_payload(&mut rng, 3_000);
+    let f64s = f64_payload(&mut rng, 1_500);
+    for platform in [Platform::BlueField2, Platform::BlueField3] {
+        let svc = PedalService::start(ServiceConfig::new(platform));
+        let mut arrival = 0u64;
+        let mut serve = |desc: JobDesc| {
+            // A second of virtual idle time between jobs: every lane is
+            // free again when the next one arrives.
+            arrival += 1_000_000_000;
+            let id = svc.submit(desc.with_arrival(SimInstant(arrival))).unwrap();
+            let done = svc.drain();
+            let job = done.iter().find(|j| j.id == id).expect("job completed");
+            let out = job.result.as_ref().unwrap().bytes.clone();
+            (out, job.metrics.unwrap().service)
+        };
+        for design in Design::EXTENDED {
+            let inputs: Vec<(Datatype, &Vec<u8>)> = match design.algorithm {
+                Algorithm::Sz3 => vec![(Datatype::Float32, &f32s), (Datatype::Float64, &f64s)],
+                Algorithm::Pco => vec![(Datatype::Byte, &text), (Datatype::Float32, &f32s)],
+                _ => vec![(Datatype::Byte, &text)],
+            };
+            for (datatype, data) in inputs {
+                let ctx = PedalContext::init(PedalConfig::new(platform, design)).unwrap();
+                let packed = ctx.compress(datatype, data).unwrap();
+                let (payload, service) = serve(JobDesc::compress(design, datatype, data.clone()));
+                assert_eq!(payload, packed.payload, "{design} {datatype:?} on {platform:?}");
+                assert_eq!(
+                    service,
+                    packed.timing.total(),
+                    "compress {design} {datatype:?} on {platform:?}"
+                );
+                let unpacked = ctx.decompress(&packed.payload, data.len()).unwrap();
+                let (_, service) = serve(JobDesc::decompress(design, payload, data.len()));
+                assert_eq!(
+                    service,
+                    unpacked.timing.total(),
+                    "decompress {design} {datatype:?} on {platform:?}"
+                );
+            }
+        }
+        svc.shutdown();
+    }
 }
