@@ -3,11 +3,13 @@
 //! The sweep decodes each stream through every path that claims to speak
 //! its format and demands consistent verdicts. For full PEDAL payloads
 //! that means three decoders: the pure [`pedal::wire`] functions, a
-//! BlueField-2 context (DEFLATE/zlib decode routed through the C-Engine),
-//! and a BlueField-3 context (LZ4 on the engine, DEFLATE on the SoC).
-//! They must produce identical bytes on success and the same
-//! [`ErrorClass`] on rejection — placement must never change what a
-//! stream means or how it fails.
+//! BlueField-2 context (DEFLATE/zlib charged on the C-Engine), and a
+//! BlueField-3 context (LZ4 on the engine, DEFLATE on the SoC). Both
+//! contexts decode through [`pedal::wire`] too — placement only changes
+//! the virtual-time charge — so the verdicts agree by construction; the
+//! check stays to keep it that way. They must produce identical bytes on
+//! success and the same [`ErrorClass`] on rejection — placement must
+//! never change what a stream means or how it fails.
 
 use pedal::{Design, PedalConfig, PedalContext, PedalError};
 use pedal_dpu::Platform;

@@ -28,6 +28,7 @@
 //! assert_eq!(unpacked.data, message);
 //! ```
 
+pub mod charge;
 pub mod context;
 pub mod design;
 pub mod header;
@@ -36,6 +37,7 @@ pub mod pool;
 pub mod timing;
 pub mod wire;
 
+pub use charge::{charge, Charge, Stage};
 pub use context::{
     CompressOutput, Datatype, DecompressOutput, InitReport, OverheadMode, PedalConfig,
     PedalContext, PedalError,

@@ -1,15 +1,15 @@
 //! Pure wire-format encode/decode for PEDAL messages.
 //!
 //! Everything in this module is a deterministic function of its inputs:
-//! no virtual clock, no DOCA context, no buffer pool. The synchronous
-//! [`crate::PedalContext`], the chunked-parallel path, and the
-//! `pedal-service` offload engine all produce the same bytes because the
-//! simulated C-Engine runs the exact same codecs as the SoC paths; this
-//! module is the single definition of that byte format.
+//! no virtual clock, no DOCA context, no buffer pool. It is the only
+//! codec path: the synchronous [`crate::PedalContext`] and the
+//! `pedal-service` offload engine both compute their bytes here, on any
+//! placement, since a C-Engine emits the same standard formats as the
+//! SoC codecs.
 //!
-//! Callers that need virtual time charge it afterwards from the returned
-//! [`CostProfile`] byte counts — the profile records how many bytes went
-//! through each costed stage, which is all the
+//! Callers charge virtual time afterwards with [`crate::charge()`] from
+//! the returned [`CostProfile`] — the profile records which design ran
+//! and how many bytes went through each costed stage, which is all the
 //! [`pedal_dpu::CostModel`] rate laws key on.
 
 use crate::context::{Datatype, PedalError};
@@ -54,12 +54,15 @@ pub fn frame_compressed(design: Design, data: &[u8], body: Vec<u8>) -> (Vec<u8>,
 // Cost profiles
 // ---------------------------------------------------------------------
 
-/// Byte counts of the costed stages of one operation, recorded by the pure
-/// encode/decode so a caller can charge virtual time after the fact. Each
-/// field is the byte count the corresponding [`pedal_dpu::CostModel`] rate
-/// law keys on.
+/// The costed stages of one operation, recorded by the pure encode/decode
+/// so a caller can charge virtual time after the fact. Each byte count is
+/// the one the corresponding [`pedal_dpu::CostModel`] rate law keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CostProfile {
+    /// The design whose codec ran: the compressing design, or the header's
+    /// on decode. `None` when no codec ran and the payload was copied (a
+    /// passthrough decode, or a store-raw frame).
+    pub design: Option<Design>,
     /// Bytes through the main lossless stage — input bytes for compress,
     /// output bytes for decompress. For SZ3 designs this is the *core*
     /// stream the backend stage (the part PEDAL offloads) processes. For a
@@ -70,6 +73,12 @@ pub struct CostProfile {
     pub sz3_core_bytes: usize,
     /// Bytes checksummed on the SoC (zlib's Adler-32).
     pub checksum_bytes: usize,
+    /// Bytes an engine pass over the lossless stage is handed: the
+    /// stage's input on compress; on decompress the body (zlib's without
+    /// its 2-byte header and 4-byte trailer, SZ3's whole sealed body).
+    pub engine_input: usize,
+    /// The backend an SZ3 body is sealed with, which keys its cost.
+    pub sz3_backend: Option<BackendKind>,
     /// The payload is an uncompressed passthrough.
     pub passthrough: bool,
 }
@@ -78,7 +87,8 @@ pub struct CostProfile {
 // Pure compression
 // ---------------------------------------------------------------------
 
-/// The SZ3 configuration a design implies (mirrors the context).
+/// The SZ3 configuration a design implies: the native backend on the
+/// SoC, DEFLATE (the engine's algorithm) for C-Engine designs.
 pub fn sz3_config(design: Design, error_bound: f64) -> Sz3Config {
     Sz3Config {
         error_bound,
@@ -99,17 +109,14 @@ fn field_from_bytes<T: pedal_sz3::Float>(data: &[u8]) -> Result<Field<T>, PedalE
 }
 
 /// Compress `data` into a design's *body* (the payload minus framing).
-///
-/// Byte-identical to what [`crate::PedalContext`] produces for the same
-/// design on any platform: the simulated engine and the SoC run the same
-/// codecs, so placement (and engine fallback) never changes the bytes.
+/// Placement (and engine fallback) never changes the bytes.
 pub fn compress_body(
     design: Design,
     datatype: Datatype,
     error_bound: f64,
     data: &[u8],
 ) -> Result<(Vec<u8>, CostProfile), PedalError> {
-    let mut profile = CostProfile::default();
+    let mut profile = CostProfile { design: Some(design), ..Default::default() };
     let body = match design.algorithm {
         Algorithm::Deflate => {
             profile.lossless_bytes = data.len();
@@ -136,6 +143,7 @@ pub fn compress_body(
             };
             profile.sz3_core_bytes = stats.input_bytes;
             profile.lossless_bytes = core.len();
+            profile.sz3_backend = Some(cfg.backend);
             pedal_sz3::seal(&core, cfg.backend)
         }
         Algorithm::Pco => {
@@ -152,6 +160,7 @@ pub fn compress_body(
             }
         }
     };
+    profile.engine_input = profile.lossless_bytes;
     Ok((body, profile))
 }
 
@@ -182,7 +191,10 @@ pub fn decompress_payload(
     if original_len != expected_len {
         return Err(PedalError::LengthMismatch { expected: expected_len, actual: original_len });
     }
-    let mut profile = CostProfile::default();
+    let mut profile = CostProfile { engine_input: body.len(), ..Default::default() };
+    if let PedalHeader::Compressed(design) = header {
+        profile.design = Some(design);
+    }
     let data = match header {
         PedalHeader::Uncompressed => {
             profile.passthrough = true;
@@ -201,6 +213,9 @@ pub fn decompress_payload(
                     .map_err(|e| PedalError::Codec(e.to_string()))?;
                 profile.lossless_bytes = data.len();
                 profile.checksum_bytes = data.len();
+                // The engine inflates the body between zlib's 2-byte
+                // header and 4-byte Adler-32 trailer (SoC work).
+                profile.engine_input = body.len().saturating_sub(6);
                 data
             }
             Algorithm::Lz4 => {
@@ -215,8 +230,9 @@ pub fn decompress_payload(
                 // shared budget formula, and the core may not declare more
                 // elements than fit in `expected_len` bytes.
                 let core_budget = pedal_sz3::core_limit_for_output(expected_len);
-                let (core, _backend) = pedal_sz3::unseal_limited(body, core_budget)
+                let (core, backend) = pedal_sz3::unseal_limited(body, core_budget)
                     .map_err(|e| PedalError::Codec(e.to_string()))?;
+                profile.sz3_backend = Some(backend);
                 profile.lossless_bytes = core.len();
                 profile.sz3_core_bytes = expected_len;
                 // Reconstruct the field; the stream self-describes its type.
