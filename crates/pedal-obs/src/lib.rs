@@ -43,6 +43,6 @@ pub use registry::{HistSummary, MetricsRegistry, MetricsSnapshot, METRICS_SCHEMA
 pub use ring::{EventRing, LaneRecorder, Track, DEFAULT_RING_CAPACITY};
 pub use slo::{SloTable, TenantId, TenantSloSnapshot};
 pub use trace::{
-    chrome_trace_json, validate_chrome_trace, Collector, TraceCheck, TraceLog, TraceValidateError,
+    chrome_trace_json, validate_chrome_trace, TraceCheck, TraceLog, TraceValidateError,
 };
 pub use window::{HighWatermark, WindowConfig, WindowedCounter, WindowedHistogram};

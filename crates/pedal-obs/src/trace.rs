@@ -1,8 +1,8 @@
 //! Trace collection and export.
 //!
-//! Lanes record into private rings ([`crate::ring::LaneRecorder`]) and
-//! hand their finished [`Track`]s to a shared [`Collector`] when they
-//! exit; the merged [`TraceLog`] is then exported as Chrome
+//! Lanes record into private rings ([`crate::ring::LaneRecorder`]);
+//! their finished [`Track`]s merge into one [`TraceLog`]
+//! ([`TraceLog::from_tracks`]), which is then exported as Chrome
 //! `trace_event` JSON (load in `chrome://tracing` or Perfetto) or
 //! inspected programmatically. Because span records are self-contained
 //! (begin *and* end in one event), a dropped event can never orphan a
@@ -11,7 +11,6 @@
 
 use crate::event::{Event, EventKind, SpanKind};
 use crate::json::{parse, Json, JsonError};
-use std::sync::{Arc, Mutex};
 
 /// A merged multi-lane trace: one [`Track`] per recording thread plus
 /// the total number of events lost to ring overflow.
@@ -24,6 +23,15 @@ pub struct TraceLog {
 pub use crate::ring::Track;
 
 impl TraceLog {
+    /// Merge finished tracks: ordered by name, so the log is stable
+    /// whatever order the lanes finished in, with their ring-overflow
+    /// drops summed.
+    pub fn from_tracks(mut tracks: Vec<Track>) -> Self {
+        tracks.sort_by(|a, b| a.name.cmp(&b.name));
+        let dropped = tracks.iter().map(|t| t.dropped).sum();
+        Self { tracks, dropped }
+    }
+
     pub fn is_empty(&self) -> bool {
         self.tracks.iter().all(|t| t.events.is_empty())
     }
@@ -62,35 +70,6 @@ impl TraceLog {
                 (count > 0).then(|| (k, count, self.total_ns(k)))
             })
             .collect()
-    }
-}
-
-/// Thread-safe sink the lanes push their finished tracks into. Lanes
-/// touch it exactly once, at exit — the hot path never sees the lock.
-#[derive(Debug, Clone, Default)]
-pub struct Collector {
-    inner: Arc<Mutex<TraceLog>>,
-}
-
-impl Collector {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&self, track: Track) {
-        let mut log = self.inner.lock().unwrap();
-        log.dropped += track.dropped;
-        log.tracks.push(track);
-    }
-
-    /// Take the collected log, leaving the collector empty.
-    pub fn take(&self) -> TraceLog {
-        let mut log = self.inner.lock().unwrap();
-        let mut out = TraceLog::default();
-        std::mem::swap(&mut *log, &mut out);
-        // Stable ordering regardless of lane exit interleaving.
-        out.tracks.sort_by(|a, b| a.name.cmp(&b.name));
-        out
     }
 }
 
@@ -319,35 +298,30 @@ mod tests {
     use pedal_dpu::SimInstant;
 
     fn sample_log() -> TraceLog {
-        let collector = Collector::new();
         let mut lane = LaneRecorder::new("soc-0", 64);
         lane.span(SpanKind::QueueWait, SimInstant(0), SimInstant(100), 1);
         lane.span(SpanKind::Job, SimInstant(100), SimInstant(500), 1);
         lane.span(SpanKind::PoolAcquire, SimInstant(100), SimInstant(120), 0);
         lane.span(SpanKind::SocExecute, SimInstant(120), SimInstant(480), 4096);
         lane.counter(SpanKind::Job, SimInstant(500), 1);
-        collector.push(lane.into_track());
 
         let mut chan = LaneRecorder::new("ce-0", 64);
         chan.span(SpanKind::Batch, SimInstant(50), SimInstant(400), 4);
         chan.span(SpanKind::WorkqQueue, SimInstant(50), SimInstant(90), 0);
         chan.span(SpanKind::EngineExecute, SimInstant(90), SimInstant(400), 16384);
-        collector.push(chan.into_track());
-        collector.take()
+        TraceLog::from_tracks(vec![lane.into_track(), chan.into_track()])
     }
 
     #[test]
-    fn collector_merges_and_orders_tracks() {
+    fn from_tracks_orders_tracks_and_sums_drops() {
         let log = sample_log();
         assert_eq!(log.tracks.len(), 2);
         assert_eq!(log.tracks[0].name, "ce-0");
         assert_eq!(log.tracks[1].name, "soc-0");
         assert_eq!(log.event_count(), 8);
-        // take() leaves it empty.
-        let c = Collector::new();
-        c.push(Track { name: "x".into(), events: vec![], dropped: 3 });
-        assert_eq!(c.take().dropped, 3);
-        assert_eq!(c.take().dropped, 0);
+        assert_eq!(log.dropped, 0);
+        let track = |dropped| Track { name: "x".into(), events: vec![], dropped };
+        assert_eq!(TraceLog::from_tracks(vec![track(3), track(4)]).dropped, 7);
     }
 
     #[test]
@@ -399,9 +373,7 @@ mod tests {
         let mut lane = LaneRecorder::new("lane", 8);
         lane.span_for(SpanKind::Job, SimInstant(0), SimInstant(10), 1, 7);
         lane.span(SpanKind::QueueWait, SimInstant(20), SimInstant(30), 2);
-        let c = Collector::new();
-        c.push(lane.into_track());
-        let text = chrome_trace_json(&c.take());
+        let text = chrome_trace_json(&TraceLog::from_tracks(vec![lane.into_track()]));
         let doc = parse(&text).unwrap();
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let tenant_of = |name: &str| {
@@ -422,9 +394,7 @@ mod tests {
         let mut lane = LaneRecorder::new("bad", 8);
         lane.span(SpanKind::Job, SimInstant(0), SimInstant(100), 0);
         lane.span(SpanKind::Batch, SimInstant(50), SimInstant(150), 0);
-        let c = Collector::new();
-        c.push(lane.into_track());
-        let text = chrome_trace_json(&c.take());
+        let text = chrome_trace_json(&TraceLog::from_tracks(vec![lane.into_track()]));
         validate_chrome_trace(&text).expect("clamped trace still balanced");
     }
 
