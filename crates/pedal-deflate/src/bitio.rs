@@ -52,11 +52,6 @@ impl BitWriter {
         self.out.extend_from_slice(bytes);
     }
 
-    /// Number of complete bytes emitted so far.
-    pub fn byte_len(&self) -> usize {
-        self.out.len()
-    }
-
     /// Total number of bits written so far (including unflushed ones).
     pub fn bit_len(&self) -> u64 {
         self.out.len() as u64 * 8 + self.nbits as u64

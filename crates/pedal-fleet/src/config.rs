@@ -165,36 +165,6 @@ impl FleetConfig {
         self
     }
 
-    pub fn with_paying(mut self, tenants: u32, slo: SimDuration, bucket: BucketSpec) -> Self {
-        self.paying_tenants = tenants;
-        self.paying_slo = slo;
-        self.paying_bucket = bucket;
-        self
-    }
-
-    pub fn with_best_effort(mut self, slo: SimDuration, bucket: BucketSpec) -> Self {
-        self.best_effort_slo = slo;
-        self.best_effort_bucket = bucket;
-        self
-    }
-
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    pub fn with_ladder(mut self, degrade_pct: u32, store_pct: u32) -> Self {
-        assert!(degrade_pct <= store_pct, "ladder thresholds must be ordered");
-        self.degrade_pct = degrade_pct;
-        self.store_pct = store_pct;
-        self
-    }
-
-    pub fn with_backlog_guard(mut self, guard: SimDuration) -> Self {
-        self.backlog_guard = guard;
-        self
-    }
-
     pub fn class_of(&self, tenant: u32) -> TenantClass {
         if tenant < self.paying_tenants {
             TenantClass::Paying

@@ -182,11 +182,6 @@ impl StreamEncoder {
         self.ready.len()
     }
 
-    /// Frames emitted so far.
-    pub fn frames_emitted(&self) -> u64 {
-        self.next_index
-    }
-
     /// Frames stored raw so far (codec output would have expanded).
     pub fn raw_frames(&self) -> u64 {
         self.raw_frames
