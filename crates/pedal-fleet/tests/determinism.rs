@@ -5,7 +5,9 @@
 //! 1. **Replay determinism** — the same seed + config produces
 //!    byte-identical reports and placement logs. Verified at 2 distinct
 //!    seeds × 2 node mixes (all-BF2, mixed BF2/BF3), which is exactly
-//!    the acceptance matrix for this tier.
+//!    the acceptance matrix for this tier. Five runs also have their
+//!    digests pinned to fixed values, so a change that moves every
+//!    replay the same way still fails.
 //! 2. **Byte identity** — routing through the fleet never changes a
 //!    single output byte versus serving the same request on a lone
 //!    [`PedalService`], or versus the synchronous [`pedal::wire`] path.
@@ -216,4 +218,89 @@ fn stored_rung_round_trips() {
         assert!(profile.passthrough);
         assert_eq!(decoded, data);
     }
+}
+
+/// Run digests pinned to fixed hex values, not only equal between two
+/// replays: a change to how the fleet stages its per-arrival work
+/// (payload generation, probing, routing) must leave every decision,
+/// placement and output byte where it was. Each case is an edge of
+/// that staging: the adaptive policy on a mixed trace, no policy at
+/// all, a first arrival in a late epoch with empty epochs in between,
+/// the ladder's Store rung, and a bucket tight enough to shed.
+#[test]
+fn run_digests_are_pinned() {
+    let mixed_trace = |seed: u64| {
+        let cfg =
+            OpenLoopConfig::mixed(seed, SimDuration::from_micros(60), SimDuration::from_millis(6))
+                .with_payload(256, 4 << 10);
+        generate_arrivals(&cfg)
+    };
+    let adaptive = |nodes: Vec<NodeSpec>| {
+        FleetConfig::new(nodes).with_adaptive_policy(PolicyConfig::default())
+    };
+    let mut got: Vec<(&str, String, &str)> = Vec::new();
+
+    // Adaptive BF2+BF3 over a mixed trace.
+    let cfg = adaptive(vec![NodeSpec::bf2(), NodeSpec::bf3()]);
+    let run = run_fleet(&cfg, &mixed_trace(5), |_| Design::CE_DEFLATE);
+    assert!(run.policy_log.count_decision("store-raw") > 0, "no store-raw decisions");
+    assert!(run.policy_log.count_decision("SoC_pco") > 0, "no pco decisions");
+    got.push(("adaptive_mixed", run.digest(), "425c005e87cda5de"));
+
+    // No policy: every arrival is routed as requested.
+    let run = run_fleet(&mixed(), &trace(11), |a| {
+        if a.seq % 3 == 0 {
+            Design::CE_LZ4
+        } else {
+            Design::CE_DEFLATE
+        }
+    });
+    assert!(run.policy_log.is_empty());
+    got.push(("policy_free", run.digest(), "faccff841d95e84e"));
+
+    // First arrival five epochs in, and a five-epoch hole in the middle.
+    let cfg = adaptive(vec![NodeSpec::bf2(), NodeSpec::bf3()]);
+    let epoch = cfg.epoch.as_nanos();
+    let mut late = mixed_trace(9);
+    let half = late.len() / 2;
+    for (i, a) in late.iter_mut().enumerate() {
+        a.at.0 += if i < half { 5 * epoch } else { 10 * epoch };
+    }
+    let run = run_fleet(&cfg, &late, |_| Design::CE_DEFLATE);
+    let first = run.epochs.iter().position(|e| e.arrivals > 0).unwrap();
+    assert_eq!(first, 5, "the first arrival should land in epoch 5");
+    assert!(
+        run.epochs[first..].iter().any(|e| e.arrivals == 0),
+        "no empty epoch between two busy ones"
+    );
+    got.push(("late_and_gapped", run.digest(), "4570559a00ed0513"));
+
+    // The ladder's Store rung (as in `stored_rung_round_trips`).
+    let mut cfg = adaptive(vec![NodeSpec::bf2()]);
+    cfg.paying_tenants = 0;
+    cfg.paying_slo = SimDuration::from_nanos(1);
+    cfg.store_pct = 0;
+    let run = run_fleet(&cfg, &mixed_trace(13), |_| Design::CE_DEFLATE);
+    assert!(
+        run.epochs.iter().any(|e| e.level == pedal_fleet::LadderLevel::Store && e.stored > 0),
+        "Store rung never engaged"
+    );
+    got.push(("store_rung", run.digest(), "09bc96b365bbf717"));
+
+    // A paying bucket so tight that a tenant's repeat arrivals shed at
+    // the first gate (best-effort tenants are drawn from a space too
+    // large to repeat within one trace).
+    let mut cfg = adaptive(vec![NodeSpec::bf2(), NodeSpec::bf3()]);
+    cfg.paying_bucket = pedal_fleet::BucketSpec::new(100, 1);
+    let run = run_fleet(&cfg, &mixed_trace(17), |_| Design::CE_DEFLATE);
+    let shed: u64 = run.epochs.iter().map(|e| e.shed_bucket).sum();
+    assert!(shed > 0 && run.paying.shed == shed, "the bucket gate shed nothing");
+    got.push(("tight_bucket", run.digest(), "9be2ccb3b7224156"));
+
+    let wrong: Vec<String> = got
+        .iter()
+        .filter(|(_, have, want)| have != want)
+        .map(|(name, have, want)| format!("{name}: {have} (pinned {want})"))
+        .collect();
+    assert!(wrong.is_empty(), "run digests moved:\n{}", wrong.join("\n"));
 }
